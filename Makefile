@@ -52,21 +52,26 @@ test:
 	$(GO) test ./...
 
 # The packages where the planner goroutine installs snapshots concurrently
-# with executing workers, plus the harness pool's concurrent sweep/fuzz paths
-# (point scheduling, the allocation-measurement token, parallel bit-identity);
-# all of it must stay clean under the race detector. The harness pass filters
-# to the pool tests so the race-slowed run stays bounded.
+# with executing workers, the lock table's bucket and held-list shards, plus
+# the harness pool's concurrent sweep/fuzz paths (point scheduling, the
+# allocation-measurement token, parallel bit-identity); all of it must stay
+# clean under the race detector. The harness pass filters to the pool tests
+# so the race-slowed run stays bounded.
 race:
-	$(GO) test -race ./internal/engine ./internal/partition
+	$(GO) test -race ./internal/engine ./internal/partition ./internal/lock
 	$(GO) test -race -run 'TestPool|TestPointWorkers|TestParallelSweepBitIdentical|TestFuzzShardDeterminism|TestMeasureParallel' ./internal/harness
 
 # A short benchmark pass so hot-path regressions (time or allocations) fail
-# loudly in review; see DESIGN.md section 7 for the invariants.
+# loudly in review; see DESIGN.md section 7 for the invariants. The lock
+# benchmark fails if ReleaseAll's cost grows with the lock table's bucket
+# count again.
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkExecute -benchtime 100x -benchmem ./internal/engine
+	$(GO) test -run '^$$' -bench 'BenchmarkTableAcquireReleaseAll$$' -benchtime 10000x -benchmem ./internal/lock
 
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkExecute -benchmem ./internal/engine
+	$(GO) test -run '^$$' -bench BenchmarkTableAcquireReleaseAll -benchmem ./internal/lock
 
 bench-json:
 	$(GO) run ./cmd/atrapos-bench -json

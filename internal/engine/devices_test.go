@@ -142,6 +142,65 @@ type mapStore map[schema.Key]schema.Row
 func (m mapStore) ApplyInsert(key schema.Key, row schema.Row) { m[key] = row }
 func (m mapStore) ApplyDelete(key schema.Key)                 { delete(m, key) }
 
+// checkRecoveredLogs checks a redo-only recovery of island logs into
+// replayed, given the summed RecoveryStats.LoserTxns of those recoveries.
+// Every Update of a committed transaction — one whose log also holds its
+// Commit or EndOfDistributed record — must have replayed. Attempts that
+// aborted on a lock conflict leave Update records with no outcome record;
+// recovery rightly skips them. No such loser may have a Commit record in any
+// island log, which would mean a commit record went missing from the log
+// holding its updates.
+func checkRecoveredLogs(t *testing.T, logs [][]wal.Record, loserTxns int, replayed map[string]mapStore) {
+	t.Helper()
+	type logTxn struct {
+		log int
+		txn uint64
+	}
+	winners := make(map[logTxn]bool)
+	committed := make(map[uint64]bool)
+	for i, recs := range logs {
+		for _, rec := range recs {
+			switch rec.Type {
+			case wal.Commit:
+				committed[rec.Txn] = true
+				winners[logTxn{i, rec.Txn}] = true
+			case wal.EndOfDistributed:
+				winners[logTxn{i, rec.Txn}] = true
+			}
+		}
+	}
+	losers := make(map[logTxn]bool)
+	for i, recs := range logs {
+		for _, rec := range recs {
+			switch rec.Type {
+			case wal.Commit, wal.Abort, wal.Prepare, wal.EndOfDistributed:
+				continue
+			}
+			lt := logTxn{i, rec.Txn}
+			if !winners[lt] {
+				losers[lt] = true
+				continue
+			}
+			if rec.Type != wal.Update {
+				continue
+			}
+			if ms, ok := replayed[rec.Table]; ok {
+				if _, ok := ms[rec.Key]; !ok {
+					t.Fatalf("update record %s/%v of committed txn %d did not replay", rec.Table, rec.Key, rec.Txn)
+				}
+			}
+		}
+	}
+	if len(losers) != loserTxns {
+		t.Errorf("found %d loser transactions in the logs, recovery reported %d", len(losers), loserTxns)
+	}
+	for lt := range losers {
+		if committed[lt.txn] {
+			t.Errorf("loser txn %d of island log %d has a Commit record in another island log", lt.txn, lt.log)
+		}
+	}
+}
+
 // TestRecoveryAcrossLevelChange asserts records appended before an online
 // re-wiring replay correctly from the new wiring's per-island logs: the
 // socket->machine change on the one-socket part carries the island log (and
@@ -188,30 +247,22 @@ func TestRecoveryAcrossLevelChange(t *testing.T) {
 		stores[spec.Name] = ms
 		updated[spec.Name] = ms
 	}
-	var redone int
-	for i := 0; i < w2.logs.NumLogs(); i++ {
+	var redone, losers int
+	logs := make([][]wal.Record, w2.logs.NumLogs())
+	for i := range logs {
 		lg := w2.logs.Log(i)
-		stats, err := wal.Recover(lg.Records(), lg.Durable(), false, stores)
+		logs[i] = lg.Records()
+		stats, err := wal.Recover(logs[i], lg.Durable(), false, stores)
 		if err != nil {
 			t.Fatal(err)
 		}
 		redone += stats.Redone
+		losers += stats.LoserTxns
 	}
 	if redone == 0 {
 		t.Fatal("recovery from the post-change logs redid nothing")
 	}
-	// Every update record of a committed transaction must be present in the
-	// replayed store.
-	for _, rec := range w2.logs.Log(0).Records() {
-		if rec.Type != wal.Update {
-			continue
-		}
-		ms, ok := updated[rec.Table]
-		if !ok {
-			continue
-		}
-		if _, ok := ms[rec.Key]; !ok {
-			t.Fatalf("update record for %s/%v from before the re-wire did not replay", rec.Table, rec.Key)
-		}
-	}
+	// Every update record of a committed transaction from before the
+	// re-wire must be present in the replayed store.
+	checkRecoveredLogs(t, logs, losers, updated)
 }

@@ -487,14 +487,17 @@ func TestRecoveryAcrossDeviceFailureAndLevelChange(t *testing.T) {
 		stores[spec.Name] = ms
 		replayed[spec.Name] = ms
 	}
-	redone := 0
-	for i := 0; i < w2.logs.NumLogs(); i++ {
+	redone, losers := 0, 0
+	logs := make([][]wal.Record, w2.logs.NumLogs())
+	for i := range logs {
 		lg := w2.logs.Log(i)
-		stats, err := wal.Recover(lg.Records(), lg.Durable(), false, stores)
+		logs[i] = lg.Records()
+		stats, err := wal.Recover(logs[i], lg.Durable(), false, stores)
 		if err != nil {
 			t.Fatal(err)
 		}
 		redone += stats.Redone
+		losers += stats.LoserTxns
 		if d := lg.Device(); d == nil || d.Failed() {
 			t.Errorf("island %d log still on a failed device after the re-home", i)
 		}
@@ -502,18 +505,8 @@ func TestRecoveryAcrossDeviceFailureAndLevelChange(t *testing.T) {
 	if redone == 0 {
 		t.Fatal("recovery across the device failure redid nothing")
 	}
-	for i := 0; i < w2.logs.NumLogs(); i++ {
-		for _, rec := range w2.logs.Log(i).Records() {
-			if rec.Type != wal.Update {
-				continue
-			}
-			if ms, ok := replayed[rec.Table]; ok {
-				if _, ok := ms[rec.Key]; !ok {
-					t.Fatalf("update record %s/%v did not survive the re-home", rec.Table, rec.Key)
-				}
-			}
-		}
-	}
+	// Every update of a committed transaction survives the re-home.
+	checkRecoveredLogs(t, logs, losers, replayed)
 	e.Devices().ResetFaults()
 }
 

@@ -98,7 +98,8 @@ func (p *Pool) Run(jobs []PointFn) error {
 }
 
 // WithAllocToken runs f with the pool's allocation-measurement token held:
-// every other in-flight point has finished before f starts, and no new point
+// no other point executes during f. Every other in-flight point has either
+// finished or is parked waiting for the token itself, and no new point
 // starts until f returns. Heap-allocation accounting (runtime.ReadMemStats,
 // Mallocs deltas) is process-global, so an allocs/txn invariant measured
 // while other points execute would see their allocations; the token turns

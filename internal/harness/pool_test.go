@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // poolTestScale is a reduced quick scale: sweep points stay real simulations
@@ -107,14 +108,16 @@ func TestPoolErrorAggregation(t *testing.T) {
 	}
 }
 
-// TestPoolAllocToken: a token section runs with no other point in flight —
-// the exclusion the fuzzer's process-global allocs/txn window depends on.
-// Run under -race (make race) this also proves the token's handover is
-// properly synchronized.
+// TestPoolAllocToken: a token section runs with no other point executing —
+// the exclusion the fuzzer's process-global allocs/txn window depends on —
+// and no two token sections run at once. A point parked in WithAllocToken,
+// waiting for the token, executes nothing, so running counts only points
+// executing outside a token section. Run under -race (make race) this also
+// proves the token's handover is properly synchronized.
 func TestPoolAllocToken(t *testing.T) {
 	p := NewPool(8)
-	var running atomic.Int64
-	var tokenViolations atomic.Int64
+	var running, inToken atomic.Int64
+	var tokenViolations, tokenOverlaps atomic.Int64
 	const jobs = 32
 	fns := make([]PointFn, jobs)
 	for i := 0; i < jobs; i++ {
@@ -122,12 +125,19 @@ func TestPoolAllocToken(t *testing.T) {
 			running.Add(1)
 			defer running.Add(-1)
 			if i%4 != 0 {
+				// Stay in flight long enough for a broken token to overlap.
+				time.Sleep(200 * time.Microsecond)
 				return nil
 			}
+			running.Add(-1)
+			defer running.Add(1)
 			return p.WithAllocToken(func() error {
-				// Only this point's own increment may be visible: the token
-				// drained every other in-flight point first.
-				if running.Load() != 1 {
+				if inToken.Add(1) != 1 {
+					tokenOverlaps.Add(1)
+				}
+				defer inToken.Add(-1)
+				time.Sleep(200 * time.Microsecond)
+				if running.Load() != 0 {
 					tokenViolations.Add(1)
 				}
 				return nil
@@ -138,7 +148,10 @@ func TestPoolAllocToken(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v := tokenViolations.Load(); v != 0 {
-		t.Errorf("%d token sections overlapped another running point", v)
+		t.Errorf("%d token sections overlapped another executing point", v)
+	}
+	if v := tokenOverlaps.Load(); v != 0 {
+		t.Errorf("%d token sections overlapped another token section", v)
 	}
 }
 

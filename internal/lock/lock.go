@@ -8,6 +8,7 @@ package lock
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"atrapos/internal/schema"
@@ -134,14 +135,110 @@ type entry struct {
 // Table is one lock table: a bucket-striped hash map from resources to lock
 // entries. A Table on its own is NUMA-oblivious; the managers in manager.go
 // decide how many tables exist and which threads may touch them.
+//
+// Besides the buckets, a Table keeps per transaction the list of resources
+// the transaction holds, sharded by TxnID. ReleaseAll walks that list and
+// visits only the buckets of the transaction's own locks, so commit and abort
+// cost O(locks held) rather than O(buckets). ReleaseAll takes bucket mutexes
+// under its shard mutex; nothing takes a shard mutex under a bucket mutex.
+// Calls for different transactions may run concurrently; the calls of one
+// transaction are sequential, as the engines issue them.
 type Table struct {
 	buckets []bucket
+	shards  []heldShard
 }
 
 type bucket struct {
 	mu      sync.Mutex
 	entries map[ResourceID]*entry
 	free    *entry
+}
+
+// heldList is the set of resources one transaction holds in a Table; each
+// resource appears once, appended when the transaction becomes its holder.
+type heldList struct {
+	txn TxnID
+	res []ResourceID
+}
+
+// heldShard holds the lists of the shard's transactions that currently hold
+// locks. Only the workers' in-flight transactions are active at a time, so
+// lookups scan the few active lists. The slice's spare capacity keeps the
+// storage of released lists for reuse, which keeps the acquire/release cycle
+// allocation-free in steady state the way the entry pool does.
+type heldShard struct {
+	mu    sync.Mutex
+	lists []heldList
+}
+
+// heldShards is the number of held-list shards of every table. The count is
+// not tuned: with two parallel workers on a 2-vCPU host,
+// BenchmarkTableAcquireReleaseAllParallel showed no difference between 1, 4
+// and 64 shards beyond run-to-run noise, and more workers are unmeasured.
+const heldShards = 4
+
+// heldListCap is the capacity of the list each shard starts with, enough for
+// the locks a TATP transaction takes; longer lists grow once and stay pooled.
+const heldListCap = 8
+
+func (t *Table) shardFor(txn TxnID) *heldShard {
+	return &t.shards[uint64(txn)%uint64(len(t.shards))]
+}
+
+// find returns the index of txn's list, or -1. Caller holds sh.mu.
+func (sh *heldShard) find(txn TxnID) int {
+	for i := range sh.lists {
+		if sh.lists[i].txn == txn {
+			return i
+		}
+	}
+	return -1
+}
+
+// add appends res to txn's held list, starting the list if needed.
+func (sh *heldShard) add(txn TxnID, res ResourceID) {
+	sh.mu.Lock()
+	i := sh.find(txn)
+	if i < 0 {
+		i = len(sh.lists)
+		if i < cap(sh.lists) {
+			sh.lists = sh.lists[:i+1]
+		} else {
+			sh.lists = append(sh.lists, heldList{})
+		}
+		sh.lists[i].txn = txn
+	}
+	sh.lists[i].res = append(sh.lists[i].res, res)
+	sh.mu.Unlock()
+}
+
+// remove drops res from txn's held list, and the list once it is empty.
+func (sh *heldShard) remove(txn TxnID, res ResourceID) {
+	sh.mu.Lock()
+	if i := sh.find(txn); i >= 0 {
+		l := &sh.lists[i]
+		if j := slices.Index(l.res, res); j >= 0 {
+			last := len(l.res) - 1
+			l.res[j] = l.res[last]
+			l.res[last] = ResourceID{}
+			l.res = l.res[:last]
+		}
+		if len(l.res) == 0 {
+			sh.drop(i)
+		}
+	}
+	sh.mu.Unlock()
+}
+
+// drop retires list i, parking its cleared storage past the end of the
+// active lists. Caller holds sh.mu.
+func (sh *heldShard) drop(i int) {
+	last := len(sh.lists) - 1
+	res := sh.lists[i].res
+	clear(res)
+	sh.lists[i] = sh.lists[last]
+	sh.lists[last] = heldList{res: res[:0]}
+	sh.lists = sh.lists[:last]
 }
 
 // getEntry pops a pooled entry or allocates one. Caller holds b.mu.
@@ -160,14 +257,70 @@ func (b *bucket) putEntry(e *entry) {
 	b.free = e
 }
 
+// grant grants mode on res to txn, or returns ErrConflict. It reports whether
+// txn became a new holder of res.
+func (b *bucket) grant(txn TxnID, res ResourceID, mode Mode) (bool, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	e := b.entries[res]
+	if e == nil {
+		e = b.getEntry()
+		b.entries[res] = e
+	}
+	held, ok := e.holders[txn]
+	if ok && stronger(held, mode) {
+		return false, nil
+	}
+	for other, otherMode := range e.holders {
+		if other == txn {
+			continue
+		}
+		if !Compatible(mode, otherMode) {
+			return false, ErrConflict
+		}
+	}
+	e.holders[txn] = mode
+	return !ok, nil
+}
+
+// release drops txn's lock on res and reports whether txn held it.
+func (b *bucket) release(txn TxnID, res ResourceID) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	e := b.entries[res]
+	if e == nil {
+		return false
+	}
+	if _, ok := e.holders[txn]; !ok {
+		return false
+	}
+	delete(e.holders, txn)
+	if len(e.holders) == 0 {
+		delete(b.entries, res)
+		b.putEntry(e)
+	}
+	return true
+}
+
 // NewTable creates a lock table with the given number of buckets.
 func NewTable(nBuckets int) *Table {
 	if nBuckets < 1 {
 		nBuckets = 1
 	}
-	t := &Table{buckets: make([]bucket, nBuckets)}
+	t := &Table{
+		buckets: make([]bucket, nBuckets),
+		shards:  make([]heldShard, heldShards),
+	}
 	for i := range t.buckets {
 		t.buckets[i].entries = make(map[ResourceID]*entry)
+	}
+	// Every shard starts with one parked list, carved out of two shared
+	// arrays, so a fresh table's first transactions allocate nothing.
+	lists := make([]heldList, heldShards)
+	res := make([]ResourceID, heldShards*heldListCap)
+	for i := range t.shards {
+		lists[i].res = res[i*heldListCap : i*heldListCap : (i+1)*heldListCap]
+		t.shards[i].lists = lists[i : i : i+1]
 	}
 	return t
 }
@@ -190,63 +343,37 @@ func (t *Table) BucketFor(res ResourceID) int {
 // by the same transaction succeeds if the held mode already subsumes the
 // request; otherwise the held mode is upgraded when no other holder conflicts.
 func (t *Table) Acquire(txn TxnID, res ResourceID, mode Mode) error {
-	b := &t.buckets[t.BucketFor(res)]
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e := b.entries[res]
-	if e == nil {
-		e = b.getEntry()
-		b.entries[res] = e
+	added, err := t.buckets[t.BucketFor(res)].grant(txn, res, mode)
+	if added {
+		t.shardFor(txn).add(txn, res)
 	}
-	if held, ok := e.holders[txn]; ok && stronger(held, mode) {
-		return nil
-	}
-	for other, otherMode := range e.holders {
-		if other == txn {
-			continue
-		}
-		if !Compatible(mode, otherMode) {
-			return ErrConflict
-		}
-	}
-	if held, ok := e.holders[txn]; !ok || !stronger(held, mode) {
-		e.holders[txn] = mode
-	}
-	return nil
+	return err
 }
 
 // Release drops txn's lock on res.
 func (t *Table) Release(txn TxnID, res ResourceID) {
-	b := &t.buckets[t.BucketFor(res)]
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if e := b.entries[res]; e != nil {
-		delete(e.holders, txn)
-		if len(e.holders) == 0 {
-			delete(b.entries, res)
-			b.putEntry(e)
-		}
+	if t.buckets[t.BucketFor(res)].release(txn, res) {
+		t.shardFor(txn).remove(txn, res)
 	}
 }
 
 // ReleaseAll drops every lock held by txn and returns how many were released.
+// It visits only the buckets of the resources on txn's held list.
 func (t *Table) ReleaseAll(txn TxnID) int {
-	released := 0
-	for i := range t.buckets {
-		b := &t.buckets[i]
-		b.mu.Lock()
-		for res, e := range b.entries {
-			if _, ok := e.holders[txn]; ok {
-				delete(e.holders, txn)
-				released++
-				if len(e.holders) == 0 {
-					delete(b.entries, res)
-					b.putEntry(e)
-				}
-			}
-		}
-		b.mu.Unlock()
+	sh := t.shardFor(txn)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	i := sh.find(txn)
+	if i < 0 {
+		return 0
 	}
+	released := 0
+	for _, res := range sh.lists[i].res {
+		if t.buckets[t.BucketFor(res)].release(txn, res) {
+			released++
+		}
+	}
+	sh.drop(i)
 	return released
 }
 

@@ -313,3 +313,200 @@ func TestLocalManagerStaysLocal(t *testing.T) {
 		t.Error("Table accessor returned nil")
 	}
 }
+
+func TestReleaseAllCountsOnlyOwnLocksOnCentralTable(t *testing.T) {
+	lt := NewTable(256)
+	// Other transactions hold locks across the table, some on the same rows
+	// in compatible modes.
+	for txn := TxnID(10); txn < 20; txn++ {
+		for k := 0; k < 50; k++ {
+			if err := lt.Acquire(txn, RowResource("other", schema.KeyFromInt(int64(int(txn)*100+k))), X); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := lt.Acquire(txn, RowResource("shared", schema.KeyFromInt(1)), S); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := lt.Len()
+	mine := []ResourceID{
+		TableResource("mine"),
+		RowResource("mine", schema.KeyFromInt(1)),
+		RowResource("mine", schema.KeyFromInt(2)),
+		RowResource("shared", schema.KeyFromInt(1)),
+	}
+	if err := lt.Acquire(1, mine[0], IX); err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range mine[1:] {
+		if err := lt.Acquire(1, res, S); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := lt.ReleaseAll(1); n != len(mine) {
+		t.Errorf("ReleaseAll = %d, want %d", n, len(mine))
+	}
+	if lt.Len() != before {
+		t.Errorf("Len = %d after release, want %d", lt.Len(), before)
+	}
+	for _, res := range mine {
+		if _, ok := lt.Held(1, res); ok {
+			t.Errorf("%+v still held after ReleaseAll", res)
+		}
+	}
+	if h := lt.Holders(RowResource("shared", schema.KeyFromInt(1))); h != 10 {
+		t.Errorf("shared row holders = %d, want 10", h)
+	}
+	for txn := TxnID(10); txn < 20; txn++ {
+		if _, ok := lt.Held(txn, RowResource("other", schema.KeyFromInt(int64(int(txn)*100)))); !ok {
+			t.Errorf("txn %d lost its lock", txn)
+		}
+		if n := lt.ReleaseAll(txn); n != 51 {
+			t.Errorf("ReleaseAll(%d) = %d, want 51", txn, n)
+		}
+	}
+	if lt.Len() != 0 {
+		t.Errorf("Len = %d, want 0", lt.Len())
+	}
+}
+
+func TestReleaseAllCountsUpgradeAndReacquireOnce(t *testing.T) {
+	lt := NewTable(256)
+	row := RowResource("a", schema.KeyFromInt(3))
+	table := TableResource("a")
+	for _, step := range []struct {
+		res  ResourceID
+		mode Mode
+	}{{table, IS}, {table, IX}, {table, IS}, {row, S}, {row, S}, {row, X}, {row, S}} {
+		if err := lt.Acquire(1, step.res, step.mode); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m, _ := lt.Held(1, row); m != X {
+		t.Errorf("row mode = %v, want X", m)
+	}
+	if n := lt.ReleaseAll(1); n != 2 {
+		t.Errorf("ReleaseAll = %d, want 2", n)
+	}
+	if n := lt.ReleaseAll(1); n != 0 {
+		t.Errorf("second ReleaseAll = %d, want 0", n)
+	}
+}
+
+func TestFailedAcquireIsNotReleased(t *testing.T) {
+	lt := NewTable(256)
+	row := RowResource("a", schema.KeyFromInt(4))
+	if err := lt.Acquire(1, row, X); err != nil {
+		t.Fatal(err)
+	}
+	if err := lt.Acquire(2, row, S); err != ErrConflict {
+		t.Fatalf("expected conflict, got %v", err)
+	}
+	// A failed upgrade keeps the granted mode and is counted once.
+	shared := RowResource("a", schema.KeyFromInt(5))
+	lt.Acquire(2, shared, S)
+	lt.Acquire(3, shared, S)
+	if err := lt.Acquire(2, shared, X); err != ErrConflict {
+		t.Fatalf("expected upgrade conflict, got %v", err)
+	}
+	if n := lt.ReleaseAll(2); n != 1 {
+		t.Errorf("ReleaseAll(2) = %d, want 1 (the granted S lock only)", n)
+	}
+	if _, ok := lt.Held(1, row); !ok {
+		t.Error("the conflicting request released the holder's lock")
+	}
+	if h := lt.Holders(shared); h != 1 {
+		t.Errorf("shared holders = %d, want 1", h)
+	}
+}
+
+func TestReleaseThenReleaseAllDoesNotDoubleRelease(t *testing.T) {
+	lt := NewTable(8)
+	a := RowResource("a", schema.KeyFromInt(1))
+	b := RowResource("a", schema.KeyFromInt(2))
+	lt.Acquire(1, a, S)
+	lt.Acquire(1, b, X)
+	if err := lt.Acquire(2, a, IS); err != nil {
+		t.Fatal(err)
+	}
+	lt.Release(1, a)
+	lt.Release(1, a)
+	if n := lt.ReleaseAll(1); n != 1 {
+		t.Errorf("ReleaseAll = %d, want 1", n)
+	}
+	if _, ok := lt.Held(1, b); ok {
+		t.Error("b still held")
+	}
+	// Re-acquiring after Release puts the resource back on the held list.
+	lt.Acquire(1, a, IS)
+	if n := lt.ReleaseAll(1); n != 1 {
+		t.Errorf("ReleaseAll after re-acquire = %d, want 1", n)
+	}
+	if h := lt.Holders(a); h != 1 {
+		t.Errorf("holders of a = %d, want 1 (txn 2)", h)
+	}
+}
+
+func TestAcquireReleaseAllSteadyStateAllocs(t *testing.T) {
+	for _, buckets := range []int{256, 8} {
+		lt := NewTable(buckets)
+		res := []ResourceID{TableResource("t"), RowResource("t", 1), RowResource("t", 2), RowResource("u", 3)}
+		txn := TxnID(0)
+		cycle := func() {
+			txn++
+			lt.Acquire(txn, res[0], IX)
+			for _, r := range res[1:] {
+				lt.Acquire(txn, r, X)
+			}
+			lt.ReleaseAll(txn)
+		}
+		for i := 0; i < 1000; i++ {
+			cycle()
+		}
+		if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+			t.Errorf("%d buckets: %.2f allocs per Acquire+ReleaseAll cycle, want 0", buckets, allocs)
+		}
+	}
+}
+
+func TestTableConcurrentSharedAndConflictingTxns(t *testing.T) {
+	lt := NewTable(256)
+	const workers, rounds = 8, 300
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				txn := TxnID(w*rounds + i + 1)
+				granted := map[ResourceID]bool{}
+				if lt.Acquire(txn, TableResource("t"), IX) == nil {
+					granted[TableResource("t")] = true
+				}
+				for k := 0; k < 6; k++ {
+					// Hot keys collide across workers; private keys never do.
+					res := RowResource("t", schema.KeyFromInt(int64((i+k)%4)))
+					if k%2 == 1 {
+						res = RowResource("t", schema.KeyFromInt(int64(1000+w*100+k)))
+					}
+					if lt.Acquire(txn, res, X) == nil {
+						granted[res] = true
+					}
+				}
+				if i%3 == 0 {
+					private := RowResource("t", schema.KeyFromInt(int64(1000+w*100+1)))
+					lt.Release(txn, private)
+					delete(granted, private)
+				}
+				if n := lt.ReleaseAll(txn); n != len(granted) {
+					t.Errorf("txn %d: ReleaseAll = %d, want %d", txn, n, len(granted))
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if lt.Len() != 0 {
+		t.Errorf("lock table not empty: %d", lt.Len())
+	}
+}
