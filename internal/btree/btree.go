@@ -3,6 +3,12 @@
 // and ATraPos use to physically partition a table: one sub-tree root per
 // logical partition, so that all accesses within a partition are local to the
 // worker thread that owns it (Section III-A, "PLP").
+//
+// Nodes are cache-conscious in the sense of Rao & Ross ("Making B+-trees
+// cache conscious in main memory", SIGMOD 2000): every node is a single
+// allocation whose keys, leaf values and inner children sit in fixed-capacity
+// arrays, so a probe touches one contiguous key array per level and no slice
+// headers.
 package btree
 
 import (
@@ -12,9 +18,15 @@ import (
 	"atrapos/internal/schema"
 )
 
-// degree is the minimum fan-out of internal nodes. Leaves hold up to
-// 2*degree-1 entries.
-const degree = 32
+const (
+	// degree is the minimum fan-out of internal nodes produced by a median
+	// split.
+	degree = 32
+	// maxKeys is the capacity of every node: a leaf holds up to maxKeys
+	// entries, an inner node up to maxKeys separators and fanout children.
+	maxKeys = 2*degree - 1
+	fanout  = maxKeys + 1
+)
 
 // Item is one key/value pair stored in a tree.
 type Item struct {
@@ -22,26 +34,39 @@ type Item struct {
 	Value schema.Row
 }
 
-type node struct {
-	leaf     bool
-	keys     []schema.Key
-	values   []schema.Row // only for leaves
-	children []*node      // only for internal nodes
-	next     *node        // leaf chaining for range scans
+// leaf holds up to maxKeys entries in ascending key order and links to its
+// right sibling for range scans.
+type leaf struct {
+	n      int
+	keys   [maxKeys]schema.Key
+	values [maxKeys]schema.Row
+	next   *leaf
+}
+
+// inner routes a key k to child i, the first i with k < keys[i] (child n when
+// there is none). Its children are all leaves (bottom) or all inner nodes;
+// only the matching array is populated.
+type inner struct {
+	n      int
+	bottom bool
+	keys   [maxKeys]schema.Key
+	leaves [fanout]*leaf
+	inners [fanout]*inner
 }
 
 // Tree is a single-rooted B+-tree. It is safe for concurrent use; a tree that
 // is privately owned by one partition worker never contends on the mutex.
 type Tree struct {
 	mu    sync.RWMutex
-	root  *node
+	root  *inner // nil while the whole tree is the single leaf head
+	head  *leaf  // leftmost leaf, the start of the leaf chain
 	size  int
 	nodes int
 }
 
 // New returns an empty tree.
 func New() *Tree {
-	return &Tree{root: &node{leaf: true}, nodes: 1}
+	return &Tree{head: &leaf{}, nodes: 1}
 }
 
 // Len returns the number of entries in the tree.
@@ -51,27 +76,38 @@ func (t *Tree) Len() int {
 	return t.size
 }
 
-// NodeCount returns the number of nodes; the repartitioning cost model uses it
-// to estimate how much metadata a split or merge touches.
+// NodeCount returns the number of nodes (leaves and inner nodes) in the tree.
 func (t *Tree) NodeCount() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.nodes
 }
 
+// leafFor returns the leaf whose key range covers key. The caller holds t.mu.
+func (t *Tree) leafFor(key schema.Key) *leaf {
+	in := t.root
+	if in == nil {
+		return t.head
+	}
+	for {
+		i := upperBound(in.keys[:in.n], key)
+		if in.bottom {
+			return in.leaves[i]
+		}
+		in = in.inners[i]
+	}
+}
+
 // Get returns the row stored under key.
 func (t *Tree) Get(key schema.Key) (schema.Row, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := t.root
-	for !n.leaf {
-		n = n.children[childIndex(n.keys, key)]
-	}
-	i, ok := findKey(n.keys, key)
+	l := t.leafFor(key)
+	i, ok := findKey(l.keys[:l.n], key)
 	if !ok {
 		return nil, false
 	}
-	return n.values[i], true
+	return l.values[i], true
 }
 
 // Insert stores value under key, replacing any previous value. It reports
@@ -82,77 +118,124 @@ func (t *Tree) Insert(key schema.Key, value schema.Row) bool {
 	return t.insertLocked(key, value)
 }
 
+// insertLocked descends from the root, splitting full inner nodes on the way
+// down so that a leaf split always finds room in its parent. Leaves split
+// only when a new key must go into a full one.
 func (t *Tree) insertLocked(key schema.Key, value schema.Row) bool {
-	r := t.root
-	if len(r.keys) == maxKeys() {
-		newRoot := &node{children: []*node{r}}
-		t.splitChild(newRoot, 0)
-		t.root = newRoot
-		t.nodes++
-		r = newRoot
-	}
-	inserted := t.insertNonFull(r, key, value)
-	if inserted {
-		t.size++
-	}
-	return inserted
-}
-
-func maxKeys() int { return 2*degree - 1 }
-
-func (t *Tree) insertNonFull(n *node, key schema.Key, value schema.Row) bool {
-	if n.leaf {
-		i, ok := findKey(n.keys, key)
+	if t.root == nil {
+		l := t.head
+		i, ok := findKey(l.keys[:l.n], key)
 		if ok {
-			n.values[i] = value
+			l.values[i] = value
 			return false
 		}
-		i = upperBound(n.keys, key)
-		n.keys = append(n.keys, 0)
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = key
-		n.values = append(n.values, nil)
-		copy(n.values[i+1:], n.values[i:])
-		n.values[i] = value
-		return true
+		if l.n < maxKeys {
+			l.insertAt(i, key, value)
+			t.size++
+			return true
+		}
+		t.root = &inner{bottom: true}
+		t.root.leaves[0] = l
+		t.nodes++
+	} else if t.root.n == maxKeys {
+		r := &inner{}
+		r.inners[0] = t.root
+		t.root = r
+		t.nodes++
+		t.splitInner(r, 0, key)
 	}
-	i := childIndex(n.keys, key)
-	if len(n.children[i].keys) == maxKeys() {
-		t.splitChild(n, i)
-		if key >= n.keys[i] {
-			i++
+	p := t.root
+	i := upperBound(p.keys[:p.n], key)
+	for !p.bottom {
+		if p.inners[i].n == maxKeys {
+			t.splitInner(p, i, key)
+			if key >= p.keys[i] {
+				i++
+			}
+		}
+		p = p.inners[i]
+		i = upperBound(p.keys[:p.n], key)
+	}
+	l := p.leaves[i]
+	j, ok := findKey(l.keys[:l.n], key)
+	if ok {
+		l.values[j] = value
+		return false
+	}
+	if l.n == maxKeys {
+		t.splitLeaf(p, i, key)
+		if key >= p.keys[i] {
+			l = p.leaves[i+1]
+			j = lowerBound(l.keys[:l.n], key)
 		}
 	}
-	return t.insertNonFull(n.children[i], key, value)
+	l.insertAt(j, key, value)
+	t.size++
+	return true
 }
 
-// splitChild splits the full child at index i of parent p.
-func (t *Tree) splitChild(p *node, i int) {
-	child := p.children[i]
-	mid := len(child.keys) / 2
-	var sep schema.Key
-	right := &node{leaf: child.leaf}
-	if child.leaf {
-		sep = child.keys[mid]
-		right.keys = append(right.keys, child.keys[mid:]...)
-		right.values = append(right.values, child.values[mid:]...)
-		child.keys = child.keys[:mid]
-		child.values = child.values[:mid]
-		right.next = child.next
-		child.next = right
-	} else {
-		sep = child.keys[mid]
-		right.keys = append(right.keys, child.keys[mid+1:]...)
-		right.children = append(right.children, child.children[mid+1:]...)
-		child.keys = child.keys[:mid]
-		child.children = child.children[:mid+1]
-	}
-	p.keys = append(p.keys, 0)
-	copy(p.keys[i+1:], p.keys[i:])
+// insertAt inserts an entry at position i of a leaf that has room.
+func (l *leaf) insertAt(i int, key schema.Key, value schema.Row) {
+	copy(l.keys[i+1:l.n+1], l.keys[i:l.n])
+	copy(l.values[i+1:l.n+1], l.values[i:l.n])
+	l.keys[i], l.values[i] = key, value
+	l.n++
+}
+
+// insertChild adds separator sep at position i of an inner node that has
+// room, with the new child (a leaf when p is a bottom node) to its right.
+func (p *inner) insertChild(i int, sep schema.Key, l *leaf, c *inner) {
+	copy(p.keys[i+1:p.n+1], p.keys[i:p.n])
 	p.keys[i] = sep
-	p.children = append(p.children, nil)
-	copy(p.children[i+2:], p.children[i+1:])
-	p.children[i+1] = right
+	if p.bottom {
+		copy(p.leaves[i+2:p.n+2], p.leaves[i+1:p.n+1])
+		p.leaves[i+1] = l
+	} else {
+		copy(p.inners[i+2:p.n+2], p.inners[i+1:p.n+1])
+		p.inners[i+1] = c
+	}
+	p.n++
+}
+
+// splitLeaf splits the full leaf child i of p before key is inserted. A key
+// past the leaf's last key (an ascending load) leaves the old leaf full and
+// starts an empty right sibling with key as the separator; any other key
+// splits at the median.
+func (t *Tree) splitLeaf(p *inner, i int, key schema.Key) {
+	l := p.leaves[i]
+	mid := l.n / 2
+	sep := l.keys[mid]
+	if key > l.keys[l.n-1] {
+		mid, sep = l.n, key
+	}
+	r := &leaf{n: l.n - mid, next: l.next}
+	copy(r.keys[:], l.keys[mid:l.n])
+	copy(r.values[:], l.values[mid:l.n])
+	clear(l.values[mid:l.n])
+	l.n = mid
+	l.next = r
+	p.insertChild(i, sep, r, nil)
+	t.nodes++
+}
+
+// splitInner splits the full inner child i of p on the way down to key. A key
+// routed to the child's last child splits at the last separator, so the left
+// node keeps all but that child; any other key splits at the median.
+func (t *Tree) splitInner(p *inner, i int, key schema.Key) {
+	c := p.inners[i]
+	mid := c.n / 2
+	if key >= c.keys[c.n-1] {
+		mid = c.n - 1
+	}
+	r := &inner{n: c.n - mid - 1, bottom: c.bottom}
+	copy(r.keys[:], c.keys[mid+1:c.n])
+	copy(r.leaves[:], c.leaves[mid+1:c.n+1])
+	copy(r.inners[:], c.inners[mid+1:c.n+1])
+	clear(c.leaves[mid+1 : c.n+1])
+	clear(c.inners[mid+1 : c.n+1])
+	sep := c.keys[mid]
+	c.n = mid
+	p.insertChild(i, sep, nil, r)
 	t.nodes++
 }
 
@@ -163,16 +246,15 @@ func (t *Tree) splitChild(p *node, i int) {
 func (t *Tree) Delete(key schema.Key) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := t.root
-	for !n.leaf {
-		n = n.children[childIndex(n.keys, key)]
-	}
-	i, ok := findKey(n.keys, key)
+	l := t.leafFor(key)
+	i, ok := findKey(l.keys[:l.n], key)
 	if !ok {
 		return false
 	}
-	n.keys = append(n.keys[:i], n.keys[i+1:]...)
-	n.values = append(n.values[:i], n.values[i+1:]...)
+	copy(l.keys[i:l.n-1], l.keys[i+1:l.n])
+	copy(l.values[i:l.n-1], l.values[i+1:l.n])
+	l.n--
+	l.values[l.n] = nil
 	t.size--
 	return true
 }
@@ -182,16 +264,26 @@ func (t *Tree) Delete(key schema.Key) bool {
 func (t *Tree) Update(key schema.Key, fn func(schema.Row) schema.Row) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := t.root
-	for !n.leaf {
-		n = n.children[childIndex(n.keys, key)]
-	}
-	i, ok := findKey(n.keys, key)
+	l := t.leafFor(key)
+	i, ok := findKey(l.keys[:l.n], key)
 	if !ok {
 		return false
 	}
-	n.values[i] = fn(n.values[i])
+	l.values[i] = fn(l.values[i])
 	return true
+}
+
+// ascendLocked calls fn for every entry with key >= from in ascending key
+// order until fn returns false. The caller holds t.mu.
+func (t *Tree) ascendLocked(from schema.Key, fn func(schema.Key, schema.Row) bool) {
+	l := t.leafFor(from)
+	for i := lowerBound(l.keys[:l.n], from); l != nil; l, i = l.next, 0 {
+		for ; i < l.n; i++ {
+			if !fn(l.keys[i], l.values[i]) {
+				return
+			}
+		}
+	}
 }
 
 // Scan visits entries with from <= key < to in ascending key order, calling fn
@@ -199,24 +291,9 @@ func (t *Tree) Update(key schema.Key, fn func(schema.Row) schema.Row) bool {
 func (t *Tree) Scan(from, to schema.Key, fn func(schema.Key, schema.Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := t.root
-	for !n.leaf {
-		n = n.children[childIndex(n.keys, from)]
-	}
-	for n != nil {
-		for i, k := range n.keys {
-			if k < from {
-				continue
-			}
-			if k >= to {
-				return
-			}
-			if !fn(k, n.values[i]) {
-				return
-			}
-		}
-		n = n.next
-	}
+	t.ascendLocked(from, func(k schema.Key, v schema.Row) bool {
+		return k < to && fn(k, v)
+	})
 }
 
 // Ascend visits every entry in ascending key order.
@@ -224,36 +301,55 @@ func (t *Tree) Ascend(fn func(schema.Key, schema.Row) bool) {
 	t.Scan(0, ^schema.Key(0), fn)
 }
 
-// Min returns the smallest key in the tree.
+// Min returns the smallest key in the tree. Leaves emptied by Delete are
+// skipped along the leaf chain.
 func (t *Tree) Min() (schema.Key, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := t.root
-	for !n.leaf {
-		n = n.children[0]
+	for l := t.head; l != nil; l = l.next {
+		if l.n > 0 {
+			return l.keys[0], true
+		}
 	}
-	if len(n.keys) == 0 {
-		return 0, false
-	}
-	return n.keys[0], true
+	return 0, false
 }
 
-// Max returns the largest key in the tree.
+// Max returns the largest key in the tree. Leaves emptied by Delete are
+// skipped by backing out of the right-most path.
 func (t *Tree) Max() (schema.Key, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := t.root
-	for !n.leaf {
-		n = n.children[len(n.children)-1]
+	if t.root == nil {
+		return t.head.last()
 	}
-	if len(n.keys) == 0 {
-		return 0, false
-	}
-	return n.keys[len(n.keys)-1], true
+	return t.root.last()
 }
 
-// Items returns all entries in ascending order. Intended for tests and for
-// repartitioning, not for the transaction critical path.
+func (l *leaf) last() (schema.Key, bool) {
+	if l.n == 0 {
+		return 0, false
+	}
+	return l.keys[l.n-1], true
+}
+
+func (p *inner) last() (schema.Key, bool) {
+	for i := p.n; i >= 0; i-- {
+		var k schema.Key
+		var ok bool
+		if p.bottom {
+			k, ok = p.leaves[i].last()
+		} else {
+			k, ok = p.inners[i].last()
+		}
+		if ok {
+			return k, true
+		}
+	}
+	return 0, false
+}
+
+// Items returns all entries in ascending order. Intended for tests, not for
+// the transaction critical path.
 func (t *Tree) Items() []Item {
 	out := make([]Item, 0, t.Len())
 	t.Ascend(func(k schema.Key, v schema.Row) bool {
@@ -263,20 +359,102 @@ func (t *Tree) Items() []Item {
 	return out
 }
 
-// BulkLoad builds a tree from entries that must be sorted by ascending key.
-// It is used when loading datasets and when repartitioning splits or merges
-// sub-trees.
+// BulkLoad builds a tree from entries that must be sorted by ascending key,
+// bottom-up in O(n) with packed leaves (see loader).
 func BulkLoad(items []Item) (*Tree, error) {
-	t := New()
-	var prev schema.Key
+	var b loader
 	for i, it := range items {
-		if i > 0 && it.Key <= prev {
+		if i > 0 && it.Key <= items[i-1].Key {
 			return nil, fmt.Errorf("btree: bulk load input not strictly ascending at %d", i)
 		}
-		prev = it.Key
-		t.insertLocked(it.Key, it.Value)
+		b.add(it.Key, it.Value)
 	}
-	return t, nil
+	return b.tree(), nil
+}
+
+// loader builds a tree bottom-up from entries added in strictly ascending key
+// order. Leaves are packed full (the last one takes the remainder) and every
+// upper level packs fanout children per node, so loading n entries allocates
+// about n/maxKeys nodes and does no searching or splitting.
+type loader struct {
+	leaves []*leaf
+	size   int
+}
+
+func (b *loader) add(key schema.Key, value schema.Row) {
+	n := len(b.leaves)
+	if n == 0 || b.leaves[n-1].n == maxKeys {
+		l := &leaf{}
+		if n > 0 {
+			b.leaves[n-1].next = l
+		}
+		b.leaves = append(b.leaves, l)
+		n++
+	}
+	l := b.leaves[n-1]
+	l.keys[l.n], l.values[l.n] = key, value
+	l.n++
+	b.size++
+}
+
+// addAll adds t's entries with from <= key < to, or every entry from from on
+// when open is set, and returns how many it added. The caller holds t.mu.
+func (b *loader) addAll(t *Tree, from, to schema.Key, open bool) int {
+	before := b.size
+	t.ascendLocked(from, func(k schema.Key, v schema.Row) bool {
+		if !open && k >= to {
+			return false
+		}
+		b.add(k, v)
+		return true
+	})
+	return b.size - before
+}
+
+// tree returns a new tree holding the loaded entries.
+func (b *loader) tree() *Tree {
+	t := &Tree{}
+	b.installLocked(t)
+	return t
+}
+
+// installLocked replaces t's contents with the loaded entries. The caller
+// holds t.mu for writing.
+func (b *loader) installLocked(t *Tree) {
+	t.size, t.root, t.nodes = b.size, nil, len(b.leaves)
+	if len(b.leaves) == 0 {
+		t.head, t.nodes = &leaf{}, 1
+		return
+	}
+	t.head = b.leaves[0]
+	// lows[i] is the smallest key under child i of the level being grouped.
+	// Parent j's low is its first child's, written to lows[j] once the
+	// separators of children at j and beyond have been read.
+	lows := make([]schema.Key, len(b.leaves))
+	for i, l := range b.leaves {
+		lows[i] = l.keys[0]
+	}
+	var level []*inner
+	for count, bottom := len(b.leaves), true; count > 1; count, bottom = len(level), false {
+		parents := make([]*inner, 0, (count+fanout-1)/fanout)
+		for lo := 0; lo < count; lo += fanout {
+			hi := min(lo+fanout, count)
+			p := &inner{n: hi - lo - 1, bottom: bottom}
+			copy(p.keys[:], lows[lo+1:hi])
+			if bottom {
+				copy(p.leaves[:], b.leaves[lo:hi])
+			} else {
+				copy(p.inners[:], level[lo:hi])
+			}
+			lows[len(parents)] = lows[lo]
+			parents = append(parents, p)
+		}
+		level = parents
+		t.nodes += len(level)
+	}
+	if level != nil {
+		t.root = level[0]
+	}
 }
 
 // --- helpers ---
@@ -284,17 +462,14 @@ func BulkLoad(items []Item) (*Tree, error) {
 // findKey returns the index of key in keys and whether it is present.
 func findKey(keys []schema.Key, key schema.Key) (int, bool) {
 	i := lowerBound(keys, key)
-	if i < len(keys) && keys[i] == key {
-		return i, true
-	}
-	return i, false
+	return i, i < len(keys) && keys[i] == key
 }
 
 // lowerBound returns the first index whose key is >= key.
 func lowerBound(keys []schema.Key, key schema.Key) int {
 	lo, hi := 0, len(keys)
 	for lo < hi {
-		mid := (lo + hi) / 2
+		mid := int(uint(lo+hi) >> 1)
 		if keys[mid] < key {
 			lo = mid + 1
 		} else {
@@ -304,11 +479,12 @@ func lowerBound(keys []schema.Key, key schema.Key) int {
 	return lo
 }
 
-// upperBound returns the first index whose key is > key.
+// upperBound returns the first index whose key is > key. In an inner node it
+// is the child slot to follow for key.
 func upperBound(keys []schema.Key, key schema.Key) int {
 	lo, hi := 0, len(keys)
 	for lo < hi {
-		mid := (lo + hi) / 2
+		mid := int(uint(lo+hi) >> 1)
 		if keys[mid] <= key {
 			lo = mid + 1
 		} else {
@@ -316,10 +492,4 @@ func upperBound(keys []schema.Key, key schema.Key) int {
 		}
 	}
 	return lo
-}
-
-// childIndex returns the child slot to follow for key in an internal node
-// whose separator keys partition the space as [..k0) [k0..k1) ... [kn..].
-func childIndex(keys []schema.Key, key schema.Key) int {
-	return upperBound(keys, key)
 }

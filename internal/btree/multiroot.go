@@ -2,7 +2,6 @@ package btree
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"atrapos/internal/schema"
@@ -11,9 +10,12 @@ import (
 // MultiRooted is the multi-rooted B-tree of PLP and ATraPos: the key space of
 // a table is range partitioned and each range owns a private sub-tree root.
 // Because every logical partition is accessed by exactly one worker thread,
-// sub-tree accesses need no latching across threads; the coarse mutex here
-// only protects the partition boundary table, which changes only during
-// repartitioning.
+// sub-tree accesses need no latching across threads. The coarse mutex here
+// protects the partition boundary table and the sub-tree slice, which change
+// only during repartitioning: row operations hold it for reading across the
+// sub-tree call, so a concurrent Split, Merge or Repartition (which holds it
+// for writing) can never route a key to a sub-tree that no longer owns it.
+// The lock order is always m.mu before a sub-tree's own mutex.
 type MultiRooted struct {
 	mu     sync.RWMutex
 	bounds []schema.Key // bounds[i] is the inclusive lower bound of partition i; bounds[0] == 0
@@ -95,8 +97,7 @@ func (m *MultiRooted) PartitionFor(key schema.Key) int {
 
 func (m *MultiRooted) partitionForLocked(key schema.Key) int {
 	// The partition is the last bound <= key.
-	i := sort.Search(len(m.bounds), func(i int) bool { return m.bounds[i] > key })
-	return i - 1
+	return upperBound(m.bounds, key) - 1
 }
 
 // Partition returns the sub-tree of partition i.
@@ -112,33 +113,29 @@ func (m *MultiRooted) Partition(i int) (*Tree, error) {
 // Get returns the row stored under key.
 func (m *MultiRooted) Get(key schema.Key) (schema.Row, bool) {
 	m.mu.RLock()
-	t := m.roots[m.partitionForLocked(key)]
-	m.mu.RUnlock()
-	return t.Get(key)
+	defer m.mu.RUnlock()
+	return m.roots[m.partitionForLocked(key)].Get(key)
 }
 
 // Insert stores value under key in the owning partition.
 func (m *MultiRooted) Insert(key schema.Key, value schema.Row) bool {
 	m.mu.RLock()
-	t := m.roots[m.partitionForLocked(key)]
-	m.mu.RUnlock()
-	return t.Insert(key, value)
+	defer m.mu.RUnlock()
+	return m.roots[m.partitionForLocked(key)].Insert(key, value)
 }
 
 // Update applies fn to the row under key in the owning partition.
 func (m *MultiRooted) Update(key schema.Key, fn func(schema.Row) schema.Row) bool {
 	m.mu.RLock()
-	t := m.roots[m.partitionForLocked(key)]
-	m.mu.RUnlock()
-	return t.Update(key, fn)
+	defer m.mu.RUnlock()
+	return m.roots[m.partitionForLocked(key)].Update(key, fn)
 }
 
 // Delete removes key from its owning partition.
 func (m *MultiRooted) Delete(key schema.Key) bool {
 	m.mu.RLock()
-	t := m.roots[m.partitionForLocked(key)]
-	m.mu.RUnlock()
-	return t.Delete(key)
+	defer m.mu.RUnlock()
+	return m.roots[m.partitionForLocked(key)].Delete(key)
 }
 
 // Len returns the total number of entries across all partitions.
@@ -164,19 +161,18 @@ func (m *MultiRooted) PartitionSizes() []int {
 }
 
 // Scan visits entries with from <= key < to across partition boundaries in
-// ascending key order.
+// ascending key order. fn runs with m.mu held for reading, so it must not call
+// back into m.
 func (m *MultiRooted) Scan(from, to schema.Key, fn func(schema.Key, schema.Row) bool) {
 	m.mu.RLock()
+	defer m.mu.RUnlock()
 	start := m.partitionForLocked(from)
-	roots := m.roots
-	bounds := m.bounds
-	m.mu.RUnlock()
-	for i := start; i < len(roots); i++ {
-		if i > start && bounds[i] >= to {
+	for i := start; i < len(m.roots); i++ {
+		if i > start && m.bounds[i] >= to {
 			return
 		}
 		stopped := false
-		roots[i].Scan(from, to, func(k schema.Key, v schema.Row) bool {
+		m.roots[i].Scan(from, to, func(k schema.Key, v schema.Row) bool {
 			if !fn(k, v) {
 				stopped = true
 				return false
@@ -191,9 +187,9 @@ func (m *MultiRooted) Scan(from, to schema.Key, fn func(schema.Key, schema.Row) 
 
 // Split divides the partition that owns key `at` into two partitions at key
 // `at`: the original partition keeps [lower, at) and a new partition holds
-// [at, upper). It returns the index of the new partition. The cost of the
-// operation is proportional to the number of entries moved, which is what the
-// Figure 9 experiment measures.
+// [at, upper). It returns the index of the new partition. One in-order pass
+// over the partition feeds two bottom-up loads; the original sub-tree is
+// rebuilt in place, so callers holding it keep a valid handle.
 func (m *MultiRooted) Split(at schema.Key) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -202,19 +198,12 @@ func (m *MultiRooted) Split(at schema.Key) (int, error) {
 		return 0, fmt.Errorf("btree: partition already starts at key %d", at)
 	}
 	old := m.roots[idx]
-	// Move entries >= at into a fresh tree.
-	var moved []Item
-	old.Scan(at, ^schema.Key(0), func(k schema.Key, v schema.Row) bool {
-		moved = append(moved, Item{Key: k, Value: v})
-		return true
-	})
-	right, err := BulkLoad(moved)
-	if err != nil {
-		return 0, fmt.Errorf("btree: split rebuild: %w", err)
-	}
-	for _, it := range moved {
-		old.Delete(it.Key)
-	}
+	var left, right loader
+	old.mu.Lock()
+	left.addAll(old, 0, at, false)
+	right.addAll(old, at, 0, true)
+	left.installLocked(old)
+	old.mu.Unlock()
 	// Insert the new partition after idx.
 	newIdx := idx + 1
 	m.bounds = append(m.bounds, 0)
@@ -222,13 +211,13 @@ func (m *MultiRooted) Split(at schema.Key) (int, error) {
 	m.bounds[newIdx] = at
 	m.roots = append(m.roots, nil)
 	copy(m.roots[newIdx+1:], m.roots[newIdx:])
-	m.roots[newIdx] = right
+	m.roots[newIdx] = right.tree()
 	return newIdx, nil
 }
 
 // Merge combines partition i and partition i+1 into a single partition that
 // keeps the lower bound of partition i. It returns an error if i is the last
-// partition.
+// partition. Partition i's sub-tree is rebuilt in place from both.
 func (m *MultiRooted) Merge(i int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -236,19 +225,27 @@ func (m *MultiRooted) Merge(i int) error {
 		return fmt.Errorf("btree: cannot merge partition %d of %d", i, len(m.roots))
 	}
 	left, right := m.roots[i], m.roots[i+1]
-	right.Ascend(func(k schema.Key, v schema.Row) bool {
-		left.Insert(k, v)
-		return true
-	})
+	var b loader
+	left.mu.Lock()
+	right.mu.RLock()
+	b.addAll(left, 0, 0, true)
+	b.addAll(right, 0, 0, true)
+	right.mu.RUnlock()
+	b.installLocked(left)
+	left.mu.Unlock()
 	m.roots = append(m.roots[:i+1], m.roots[i+2:]...)
 	m.bounds = append(m.bounds[:i+1], m.bounds[i+2:]...)
 	return nil
 }
 
-// Repartition rebuilds the multi-rooted tree around a new set of bounds,
-// redistributing every entry. It is the bulk operation behind large
-// repartitioning decisions (e.g. adapting from 80 to 70 partitions after a
-// socket failure). Returns the number of entries that changed partition.
+// Repartition rebuilds the multi-rooted tree around a new set of bounds. It is
+// the bulk operation behind large repartitioning decisions (e.g. adapting from
+// 80 to 70 partitions after a socket failure). A new partition whose key range
+// equals an old one's keeps that sub-tree untouched; every other one is loaded
+// bottom-up from the old partitions it overlaps. Returns the number of entries
+// that changed partition: an entry counts when its old partition index is past
+// the new partition count or its new partition's lower bound differs from its
+// old one's, whether or not its sub-tree was reused.
 func (m *MultiRooted) Repartition(newBounds []schema.Key) (moved int, err error) {
 	if len(newBounds) == 0 || newBounds[0] != 0 {
 		return 0, fmt.Errorf("btree: invalid new bounds")
@@ -261,26 +258,34 @@ func (m *MultiRooted) Repartition(newBounds []schema.Key) (moved int, err error)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	oldBounds := m.bounds
-	oldRoots := m.roots
+	oldBounds, oldRoots := m.bounds, m.roots
 	roots := make([]*Tree, len(newBounds))
-	for i := range roots {
-		roots[i] = New()
-	}
-	locate := func(key schema.Key) int {
-		i := sort.Search(len(newBounds), func(i int) bool { return newBounds[i] > key })
-		return i - 1
-	}
-	for oldIdx, t := range oldRoots {
-		t.Ascend(func(k schema.Key, v schema.Row) bool {
-			ni := locate(k)
-			roots[ni].Insert(k, v)
-			// An entry "moved" if its new partition range differs from its old one.
-			if oldIdx >= len(newBounds) || newBounds[ni] != oldBounds[oldIdx] {
-				moved++
+	for ni, lo := range newBounds {
+		last := ni == len(newBounds)-1
+		var hi schema.Key
+		if !last {
+			hi = newBounds[ni+1]
+		}
+		oi := upperBound(oldBounds, lo) - 1
+		oldLast := oi == len(oldBounds)-1
+		if oldBounds[oi] == lo && last == oldLast && (last || oldBounds[oi+1] == hi) {
+			roots[ni] = oldRoots[oi]
+			if oi >= len(newBounds) {
+				moved += oldRoots[oi].Len()
 			}
-			return true
-		})
+			continue
+		}
+		var b loader
+		for ; oi < len(oldRoots) && (last || oldBounds[oi] < hi); oi++ {
+			t := oldRoots[oi]
+			t.mu.RLock()
+			n := b.addAll(t, lo, hi, last)
+			t.mu.RUnlock()
+			if oi >= len(newBounds) || lo != oldBounds[oi] {
+				moved += n
+			}
+		}
+		roots[ni] = b.tree()
 	}
 	m.bounds = append([]schema.Key(nil), newBounds...)
 	m.roots = roots
